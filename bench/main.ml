@@ -576,7 +576,7 @@ let serve_row ~(n : int) ~(domains : int) (lines : string array) =
     while !i < n do
       let m = min chunk (n - !i) in
       let idxs = List.init m (fun j -> !i + j) in
-      Fv_parallel.Pool.map_result ~domains (fun j -> (j, one lines.(j mod k)))
+      Fv_parallel.Pool.map ~domains (fun j -> (j, one lines.(j mod k)))
         idxs
       |> List.iter (function Ok (j, d) -> lat.(j) <- d | Error _ -> ());
       i := !i + m
@@ -892,7 +892,6 @@ let chaos_bench (plan : Harness.plan) () =
         batch = 32;
         queue_cap = 4096;
         row_timeout = (if rate > 0.0 then Some 0.02 else None);
-        supervised = true;
         quarantine = Some quarantine;
         chaos;
       }
@@ -1283,7 +1282,6 @@ let overload_bench (plan : Harness.plan) () =
     {
       Fv_serve.Server.default_opts with
       Fv_serve.Server.domains = Some 2;
-      supervised = true;
       row_timeout = Some 5.0;
       queue_cap = 4096;
     }

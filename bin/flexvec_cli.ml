@@ -618,7 +618,6 @@ let serve_cmd =
             batch;
             queue_cap = max_queue;
             row_timeout;
-            supervised;
             quarantine;
             chaos;
           }
@@ -707,8 +706,9 @@ let serve_cmd =
       & info [ "row-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Per-request wall budget enforced by the worker pool (the \
-             bench harness's --row-timeout); a wedged request becomes a \
-             $(b,deadline-exceeded) response instead of stalling its \
+             bench harness's --row-timeout), at any --domains: a request \
+             past it is answered $(b,deadline-exceeded) at the deadline \
+             and its worker domain replaced instead of stalling its \
              batch.")
   in
   let max_request_bytes_arg =
@@ -750,10 +750,10 @@ let serve_cmd =
       value & flag
       & info [ "supervised" ]
           ~doc:
-            "Run batches under pool supervision: a request that wedges \
-             past --row-timeout or kills its worker is answered \
-             immediately, the burned domain is replaced, and the \
-             offender is struck in the quarantine table.")
+            "Keep a quarantine table: a request that wedges past \
+             --row-timeout or kills its worker (both are always answered \
+             at once and the burned domain replaced) is struck, and at \
+             --max-strikes it is refused without claiming a domain.")
   in
   let quarantine_dir_arg =
     Arg.(

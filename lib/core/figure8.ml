@@ -86,7 +86,7 @@ type result = {
 let run ?vl ?seed ?mode ?domains ?faults ?rtm_retries ?timeout_s
     ?(benchmarks = R.all) () : result =
   let outcomes =
-    Fv_parallel.Pool.map_result ?domains ?timeout_s
+    Fv_parallel.Pool.map ?domains ?timeout_s
       (run_row ?vl ?seed ?mode ?faults ?rtm_retries)
       benchmarks
   in

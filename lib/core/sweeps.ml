@@ -76,7 +76,7 @@ let rtm_tile_sweep ?(tiles = [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 ])
     E.run_workload ?mode ?faults ?rtm_retries ~invocations:inv ~seed E.Flexvec
       build
   in
-  Fv_parallel.Pool.map_ordered ?domains
+  Fv_parallel.Pool.map_exn ?domains
     (fun tile ->
       let rtm =
         E.run_workload ?mode ?faults ?rtm_retries ~invocations:inv ~seed
@@ -107,7 +107,7 @@ type strategy_point = {
 let strategy_sweep ?(rates = [ 0.0; 0.005; 0.01; 0.02; 0.05; 0.1; 0.2; 0.4 ])
     ?(trip = 4096) ?(seed = 11) ?mode ?domains
     ~(pattern : [ `Cond_update | `Mem_conflict ]) () : strategy_point list =
-  Fv_parallel.Pool.map_ordered ?domains
+  Fv_parallel.Pool.map_exn ?domains
     (fun rate ->
       let build s =
         match pattern with
@@ -137,7 +137,7 @@ type trip_point = { trip : int; speedup : float }
 
 let trip_sweep ?(trips = [ 8; 16; 32; 64; 128; 512; 2048; 8192 ]) ?(seed = 3)
     ?mode ?domains () : trip_point list =
-  Fv_parallel.Pool.map_ordered ?domains
+  Fv_parallel.Pool.map_exn ?domains
     (fun trip ->
       let build s = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 s in
       (* total dynamic work held roughly constant *)
@@ -155,7 +155,7 @@ type evl_point = { update_rate : float; effective_vl : float; speedup : float }
 
 let evl_sweep ?(rates = [ 0.002; 0.01; 0.03; 0.06; 0.12; 0.25; 0.5 ])
     ?(trip = 4096) ?(seed = 17) ?mode ?domains () : evl_point list =
-  Fv_parallel.Pool.map_ordered ?domains
+  Fv_parallel.Pool.map_exn ?domains
     (fun rate ->
       let build s = tunable_cond_update ~trip ~update_rate:rate ~near_rate:0.1 s in
       let b = build seed in
@@ -185,7 +185,7 @@ let vl_sweep ?(vls = [ 4; 8; 16 ]) ?(trip = 4096) ?(seed = 23) ?mode ?domains
     () : vl_point list =
   let build s = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 s in
   let scalar = E.run_workload ?mode ~invocations:3 ~seed E.Scalar build in
-  Fv_parallel.Pool.map_ordered ?domains
+  Fv_parallel.Pool.map_exn ?domains
     (fun vl ->
       let fv = E.run_workload ~vl ?mode ~invocations:3 ~seed E.Flexvec build in
       { vl; speedup = E.hot_speedup ~baseline:scalar fv })
@@ -229,7 +229,7 @@ let prefetch_ablation ?(trip = 4096) ?(seed = 29) ?mode ?domains () :
   let scalar_trace = trace `Scalar and flexvec_trace = trace `Flexvec in
   (* both points replay the same two traces; Pipeline.run only reads
      the sink, so concurrent replay is safe *)
-  Fv_parallel.Pool.map_ordered ?domains
+  Fv_parallel.Pool.map_exn ?domains
     (fun prefetch ->
       let depth = if prefetch then 4 else 0 in
       (* memoized: the prefetch depth is part of the cache key, so the
@@ -265,7 +265,7 @@ type bench_strategies = {
     apples-to-apples on every Table 2 benchmark. *)
 let benchmark_strategies ?(seed = 42) ?(tile = 256) ?mode ?domains ?faults
     ?rtm_retries () : bench_strategies list =
-  Fv_parallel.Pool.map_ordered ?domains
+  Fv_parallel.Pool.map_exn ?domains
     (fun (spec : Fv_workloads.Registry.spec) ->
       let run strategy =
         E.run_workload ?mode ?faults ?rtm_retries
@@ -311,7 +311,7 @@ type fault_point = {
     seeded probabilistic plan attached and record how the abort/retry/
     scalar-fallback machinery responded. Every point is verified
     against an injection-free scalar reference — a divergence raises,
-    which {!Fv_parallel.Pool.map_result} captures as that point's error
+    which {!Fv_parallel.Pool.map} captures as that point's error
     row rather than sinking the sweep. *)
 let fault_sweep ?(rates = [ 0.0; 0.0005; 0.002; 0.008; 0.03 ])
     ?(tiles = [ 64; 256; 1024 ]) ?(trip = 4096) ?(seed = 7) ?(retries = 2)
@@ -319,7 +319,7 @@ let fault_sweep ?(rates = [ 0.0; 0.0005; 0.002; 0.008; 0.03 ])
   let points =
     List.concat_map (fun f_tile -> List.map (fun r -> (f_tile, r)) rates) tiles
   in
-  Fv_parallel.Pool.map_result ?domains
+  Fv_parallel.Pool.map ?domains
     (fun (f_tile, f_rate) ->
       let b = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 seed in
       let l = b.Fv_workloads.Kernels.loop in

@@ -40,4 +40,4 @@ let run_row ?(seed = 42) (spec : R.spec) : row =
   }
 
 let run ?seed ?domains ?(benchmarks = R.all) () : row list =
-  Fv_parallel.Pool.map_ordered ?domains (run_row ?seed) benchmarks
+  Fv_parallel.Pool.map_exn ?domains (run_row ?seed) benchmarks

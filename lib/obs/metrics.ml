@@ -136,8 +136,8 @@ let merge_cell (into : shard) (k : key) (c : cell) : unit =
 (** [retire t ~domain] ends metrics ownership for a terminated domain:
     its shard is folded into the retained [retired] accumulator and
     removed from the live shard list in one critical section. The
-    supervised pool calls this after joining a worker that died or
-    finished, which keeps snapshots taken during a supervised restart
+    pool calls this after joining a worker that it replaced (it died or
+    was detached), which keeps snapshots taken during a restart
     exact — merging a dead domain's shard without removing it would
     double-count its events at the next snapshot, and leaving it live
     would let a recycled domain id (OCaml reuses them) resurrect the

@@ -92,9 +92,11 @@ let recorder () : recorder =
 let sink_of (r : recorder) : sink =
   { record = (fun e -> Mutex.protect r.lock (fun () -> Dynbuf.push r.buf e)) }
 
-(** Install [r] as the process-wide span sink. Install before spawning
-    worker domains; the workers read the sink reference racily but it
-    only transitions null -> installed from the main domain. *)
+(** Install [r] as the process-wide span sink. Install before the first
+    fan-out you want traced: pool workers persist across calls and read
+    the sink reference at each element, ordered after the install by
+    the pool's hand-off; it only transitions null -> installed from the
+    main domain. *)
 let install (r : recorder) : unit = current := sink_of r
 
 let uninstall () : unit = current := null

@@ -95,8 +95,18 @@ let test_pool_clean_early_return () =
     if x = 2 then raise (B.Canceled { elapsed_ms = 1.5; limit_ms = Some 1.0 })
     else x * 10
   in
-  let results, stats =
-    Pool.map_supervised ~domains:2
+  let restarts () =
+    List.fold_left
+      (fun acc (s : Fv_obs.Metrics.snap) ->
+        if s.Fv_obs.Metrics.s_name = "pool_worker_restarts" then
+          acc + s.Fv_obs.Metrics.s_count
+        else acc)
+      0
+      (Fv_obs.Metrics.snapshot Fv_obs.Metrics.global)
+  in
+  let restarts0 = restarts () in
+  let results =
+    Pool.map ~domains:2 ~timeout_s:60.0
       ~on_event:(fun _ -> incr events)
       f [ 1; 2; 3; 4 ]
   in
@@ -105,13 +115,15 @@ let test_pool_clean_early_return () =
       Alcotest.(check (float 1e-9)) "wall from elapsed_ms" 0.0015 wall_seconds;
       Alcotest.(check (float 1e-9)) "limit from limit_ms" 0.001 limit
   | _ -> Alcotest.fail "unexpected result shape");
-  Alcotest.(check int) "zero detaches" 0 stats.Pool.sv_detached;
-  Alcotest.(check int) "zero restarts" 0 stats.Pool.sv_restarts;
-  Alcotest.(check int) "no supervisor events" 0 !events;
-  (* same contract on the unsupervised pool *)
-  match Pool.map_result ~domains:2 f [ 1; 2 ] with
+  Alcotest.(check int) "zero restarts" restarts0 (restarts ());
+  Alcotest.(check int) "no supervisor events (zero detaches)" 0 !events;
+  (* same contract with no timeout armed, and on the inline path *)
+  (match Pool.map ~domains:2 f [ 1; 2 ] with
   | [ Ok 10; Error (Pool.Timed_out _) ] -> ()
-  | _ -> Alcotest.fail "map_result must map Canceled to Timed_out"
+  | _ -> Alcotest.fail "map must map Canceled to Timed_out");
+  match Pool.map ~domains:1 f [ 1; 2 ] with
+  | [ Ok 10; Error (Pool.Timed_out _) ] -> ()
+  | _ -> Alcotest.fail "inline map must map Canceled to Timed_out"
 
 (* ---------------- budget-off / generous-budget bit-identity ----------- *)
 

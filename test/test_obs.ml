@@ -153,7 +153,7 @@ let test_metrics_deterministic_across_domains () =
     Metrics.reset Metrics.global;
     let xs = List.init 40 Fun.id in
     ignore
-      (Fv_parallel.Pool.map_ordered ~domains
+      (Fv_parallel.Pool.map_exn ~domains
          (fun x ->
            Metrics.incr Metrics.global ~labels:[ ("kind", "row") ] "work";
            x * x)

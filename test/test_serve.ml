@@ -339,6 +339,42 @@ let test_multi_domain_matches_synchronous () =
   Alcotest.(check (list string))
     "4-domain responses == synchronous responses" expected responses
 
+(* [--row-timeout] holds at every domain count, one included (the
+   default on a 2-core host): a request past it is answered
+   [deadline-exceeded], and a sub-millisecond limit is printed as
+   itself, not rounded to zero. *)
+let test_row_timeout_one_domain () =
+  let line = Loadgen.simulate_request_line ~id:"slow" ok_case in
+  List.iter
+    (fun domains ->
+      let o =
+        {
+          Server.default_opts with
+          domains = Some domains;
+          row_timeout = Some 1e-6;
+        }
+      in
+      match serve_lines o [ line ] with
+      | [ resp ] ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d domain(s): answered at the deadline" domains)
+            "deadline-exceeded" (status_of resp);
+          Alcotest.(check bool)
+            (Printf.sprintf "%d domain(s): limit printed in full: %s" domains
+               resp)
+            true
+            (contains ~needle:"exceeded the 1e-06 s row timeout" resp)
+      | rs -> Alcotest.failf "expected one response, got %d" (List.length rs))
+    [ 1; 2 ];
+  (* a generous limit changes nothing *)
+  let o =
+    { Server.default_opts with domains = Some 1; row_timeout = Some 60.0 }
+  in
+  Alcotest.(check (list string))
+    "generous limit == synchronous"
+    [ Service.handle (fresh_cfg ()) line ]
+    (serve_lines o [ line ])
+
 (* The plan cache under an overflowing stream: bounded at cap, never
    flushed, and the hit rate stays nonzero past the boundary. *)
 let test_plancache_bounded () =
@@ -779,6 +815,8 @@ let suite =
       test_oversized_frame_end_to_end;
     Alcotest.test_case "4 domains bit-identical to synchronous" `Quick
       test_multi_domain_matches_synchronous;
+    Alcotest.test_case "row timeout holds at one domain" `Quick
+      test_row_timeout_one_domain;
     Alcotest.test_case "plan cache bounded with live hit rate" `Quick
       test_plancache_bounded;
     Alcotest.test_case "framer: 1-byte reads, continuation, EOF mid-frame"
